@@ -1,12 +1,12 @@
-"""Durable content-addressed artifact store: the data layer under the
-sweep engine.
+"""Durable content-addressed artifact store: the one persistent store
+under the sweep engine.
 
-PRs 6–7 made sweep *execution* and *serving* crash-tolerant, but the
-expensive cached artifacts they rest on — partitions, trained-model
-results, simulation reports, encoded workloads — were anonymous pickle
-blobs whose only integrity story was a checksum footer.  This module
-promotes them to first-class artifacts, following the two-stage design
-of SNIPPETS.md's Lambda-Hat (Stage A builds a content-addressed target
+Everything a sweep persists lives here as a first-class artifact: job
+results (kinds ``sim-report`` and ``train-result``), the engine's
+cheap memos — graph fingerprints, workloads, derived tables — (kind
+``memo``, read through :class:`repro.perf.cache.DiskCache`), and the
+partitions of large graphs (kind ``partition``).  The design follows
+SNIPPETS.md's Lambda-Hat (Stage A builds a content-addressed target
 once, Stage B consumes it many times):
 
 - **Content-addressed ids.**  ``art_<sha256-prefix>`` derived from a
@@ -29,16 +29,16 @@ once, Stage B consumes it many times):
   ``tests/test_artifacts.py``.
 
 - **Verification and quarantine.**  Every read re-hashes the payload
-  against its manifest (``REPRO_ARTIFACTS_VERIFY_READS=0`` opts out);
-  :meth:`ArtifactStore.verify` re-hashes the whole corpus.  A corrupt
-  entry is never served and never silently unlinked: it is *moved
+  against its manifest; :meth:`ArtifactStore.verify` re-hashes the
+  whole corpus.  A corrupt entry is never served and never silently unlinked: it is *moved
   aside* into ``quarantine/`` with a ``reason.json`` record, and the
   next reference rebuilds it (:meth:`ArtifactStore.get_or_build`).
 
 - **GC with liveness.**  :meth:`ArtifactStore.gc` marks live ids from
   the run journals under ``<cache>/runs/`` plus explicitly pinned ids,
   then sweeps the rest — dry-run by default, with ``keep_days`` as an
-  age guard and ``apply`` to actually delete.
+  age guard and ``apply`` to actually delete.  Memos are never
+  journaled, so a forced GC removes them; they rebuild on demand.
 
 - **Verified export/import.**  :meth:`ArtifactStore.export` writes a
   manifest-listed tarball or rsync-able directory tree (every entry
@@ -74,11 +74,6 @@ Environment knobs:
 
 - ``REPRO_ARTIFACTS_FSYNC`` — ``0`` skips the fsync barriers (faster,
   loses power-loss durability; default ``1``);
-- ``REPRO_ARTIFACTS_VERIFY_READS`` — ``0`` skips the per-read payload
-  re-hash (``verify`` still checks everything; default ``1``);
-- ``REPRO_ARTIFACTS_SPILL_BYTES`` — size at which
-  :class:`~repro.perf.cache.DiskCache` entries spill into this store
-  (default 262144);
 - ``REPRO_ARTIFACTS_SHARD`` — ``0`` publishes new entries into the
   legacy flat layout instead of shard directories (default ``1``;
   reads always understand both).
@@ -137,12 +132,6 @@ def _fsync_enabled() -> bool:
     from .envutil import env_int
 
     return env_int("REPRO_ARTIFACTS_FSYNC", 1) != 0
-
-
-def _verify_reads() -> bool:
-    from .envutil import env_int
-
-    return env_int("REPRO_ARTIFACTS_VERIFY_READS", 1) != 0
 
 
 def _shard_writes() -> bool:
@@ -406,7 +395,8 @@ class ArtifactStore:
                     warnings.warn(
                         f"artifact store at {self.root} is unwritable "
                         f"({exc}) while storing {art_id}; degrading to "
-                        f"rebuild-on-demand for the rest of this process",
+                        f"memory-only persistence (rebuild on demand) "
+                        f"for the rest of this process",
                         RuntimeWarning, stacklevel=4)
             if tmpdir is not None:
                 shutil.rmtree(tmpdir, ignore_errors=True)
@@ -455,11 +445,9 @@ class ArtifactStore:
                 f"{art_id}: payload sha256 {digest[:12]}… does not match "
                 f"manifest {manifest['payload_sha256'][:12]}…")
 
-    def _checked_payload(self, art_id: str, manifest: Dict,
-                         verify: bool = True) -> bytes:
+    def _checked_payload(self, art_id: str, manifest: Dict) -> bytes:
         payload = self.payload_path(art_id).read_bytes()
-        if verify:
-            self._check_payload(art_id, manifest, payload)
+        self._check_payload(art_id, manifest, payload)
         return payload
 
     def get(self, art_id: str, default: Optional[T] = None) -> Optional[T]:
@@ -468,8 +456,7 @@ class ArtifactStore:
         self.gets += 1
         try:
             manifest = self.read_manifest(art_id)
-            payload = self._checked_payload(art_id, manifest,
-                                            verify=_verify_reads())
+            payload = self._checked_payload(art_id, manifest)
         except FileNotFoundError:
             self.misses += 1
             return default
@@ -888,7 +875,7 @@ class ArtifactStore:
         for art_id in selected:
             try:
                 manifest = self.read_manifest(art_id)
-                self._checked_payload(art_id, manifest, verify=True)
+                self._checked_payload(art_id, manifest)
             except FileNotFoundError:
                 raise ArtifactError(f"cannot export unknown artifact "
                                     f"{art_id!r}") from None

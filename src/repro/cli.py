@@ -56,7 +56,7 @@ Every ``run`` is journaled by default (``--no-journal`` opts out): the
 run's spec and every completed job land in an append-only JSONL file
 under the cache directory, so an interrupted sweep — SIGKILL included —
 resumes with ``run --resume <run-id>``, re-executing only the jobs that
-never finished (completed jobs replay from the disk cache).  SIGINT and
+never finished (completed jobs replay from the artifact store).  SIGINT and
 SIGTERM mid-sweep are caught: the journal is marked ``interrupted``
 (still resumable), a resume hint is printed, and the exit code is 130.
 Jobs that

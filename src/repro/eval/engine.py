@@ -27,9 +27,10 @@ same three layers:
    process (another figure script, another CI step, a machine that
    imported the corpus) replays a sweep without re-simulating, any code
    change invalidates every entry, and corrupt entries are quarantined
-   and rebuilt rather than served.  A
-   :class:`~repro.perf.cache.DiskCache` keeps the cheap memos (graph
-   fingerprints, workloads, derived tables) beside it;
+   and rebuilt rather than served.  The cheap memos (graph
+   fingerprints, workloads, derived tables) live in the same store as
+   kind ``memo``, seen through a :class:`~repro.perf.cache.DiskCache`
+   view;
 3. actual execution, *supervised* (see :mod:`repro.eval.supervise`):
    serially with per-job deadlines and bounded retries, or fanned out
    over forked worker processes the supervisor owns — simulation jobs
@@ -43,7 +44,7 @@ same three layers:
    backoff), never work that already completed.  Any failure to stand
    up subprocesses falls back to the supervised serial path.
 
-Every completed job is persisted to the disk store (and the run journal,
+Every completed job is persisted to the artifact store (and the run journal,
 when one is attached) *as it lands*, so an interrupted sweep is a
 checkpoint: rerunning the same batch — or ``repro run --resume
 <run-id>`` — executes only the jobs that never finished.  Jobs that
@@ -58,14 +59,14 @@ partial rows.
 Training results are bit-identical across the serial, parallel and
 cache-replay paths: every flow seeds its own RNG streams from the job's
 ``seed`` and inference forwards are side-effect-free, so a ``TrainJob``
-is a pure function of its fields plus the code version that namespaces
-the store.
+is a pure function of its fields plus the code version that produces
+its artifact.
 
 Environment knobs:
 
 - ``REPRO_SWEEP_WORKERS`` — default worker count for engines that are
   not given one explicitly (``0``/``1`` = serial, the default);
-- ``REPRO_CACHE_DIR`` — root of the on-disk store (default
+- ``REPRO_CACHE_DIR`` — root of the artifact store (default
   ``~/.cache/repro``);
 - ``REPRO_CHUNK_SPLIT_NODES`` — scenario size (sim-scale nodes, default
   100000) at which per-dataset simulation chunks split into per-job
@@ -98,7 +99,6 @@ from ..perf.cache import (
     ContentCache,
     DiskCache,
     cached_load_dataset,
-    code_version,
     content_key,
     graph_fingerprint,
 )
@@ -417,7 +417,7 @@ def _chunk_key(job):
     scenarios (the dataset entry's ``size_hint`` at or above
     ``REPRO_CHUNK_SPLIT_NODES``, default 100k nodes), where each job is
     its own chunk: per-job simulation cost dwarfs the amortized
-    construction there, and the shared disk caches (dataset, workload,
+    construction there, and the shared caches (dataset, workload,
     partition) already keep the workers from repeating it.  Training
     jobs are each their own chunk — a single training run is the
     expensive unit and the (case × flow × seed) grid is the axis worth
@@ -447,17 +447,13 @@ class SweepEngine:
         # Job results persist as first-class content-addressed artifacts
         # (kind "sim-report"/"train-result", id derived from the job
         # fingerprint + code version), with manifest-backed integrity,
-        # quarantine and export/import; the DiskCache keeps the cheap
-        # memos (graph fingerprints, workloads, derived tables) and
-        # spills its large entries into the same artifact store.
+        # quarantine and export/import; the cheap memos (graph
+        # fingerprints, workloads, derived tables) are kind "memo"
+        # artifacts in the same store, seen through the DiskCache view.
         self.artifacts: Optional[ArtifactStore] = (
             ArtifactStore(directory=cache_dir) if use_disk else None)
-        # The code-version digest namespaces the store as a directory, so
-        # entries orphaned by code changes are pruned, not accumulated.
         self.disk: Optional[DiskCache] = (
-            DiskCache("sweep", directory=cache_dir, namespace=code_version(),
-                      spill_store=self.artifacts)
-            if use_disk else None)
+            DiskCache(self.artifacts) if use_disk else None)
         # Optional remote read-through tier (memory → disk → remote →
         # execute): when REPRO_REMOTE_URL names a `repro serve` daemon,
         # fresh machines pull verified artifacts instead of executing.
@@ -559,10 +555,10 @@ class SweepEngine:
                             scale: str = "sim") -> str:
         """CSR fingerprint of the ``scale`` graph for ``dataset``.
 
-        Memoized on disk keyed by (dataset, scale, seed) in the
-        code-versioned namespace: synthetic generation is deterministic
-        in those, so warm-cache runs resolve the fingerprint without
-        regenerating the graph at all.
+        Memoized in the artifact store keyed by (dataset, scale, seed)
+        under the current code version: synthetic generation is
+        deterministic in those, so warm-cache runs resolve the
+        fingerprint without regenerating the graph at all.
         """
         def compute() -> str:
             graph = cached_load_dataset(dataset, scale=scale, seed=seed)
@@ -574,8 +570,8 @@ class SweepEngine:
     def job_fingerprint(self, job) -> str:
         """Disk key of one job: input-graph content + the full job
         recipe + the registry entries' cache tokens (the code version —
-        covering every model/flow/trainer source file — scopes the
-        store's namespace directory; the tokens cover runtime-registered
+        covering every model/flow/trainer source file — is the artifact
+        producer; the tokens cover runtime-registered
         accelerators/scenarios the source digest cannot see)."""
         from ..registry import get_dataset
 
@@ -791,9 +787,9 @@ class SweepEngine:
         """Memoize a whole derived table (memory + disk), content-keyed.
 
         Callers put every result-determining input — including dataset
-        fingerprints — into ``key_parts``; the store's code-versioned
-        namespace makes stale tables die with the code that produced
-        them.
+        fingerprints — into ``key_parts``; the code version in every
+        memo's artifact id makes stale tables die with the code that
+        produced them.
         """
         return self._memo_with_disk(("table",) + key_parts, compute)
 
@@ -812,10 +808,9 @@ class SweepEngine:
         self.consumed_artifacts = {}
 
     def clear_disk(self) -> None:
-        if self.disk is not None:
-            self.disk.clear()
         if self.artifacts is not None:
             self.artifacts.clear()
+            self.disk = DiskCache(self.artifacts)
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         out = {"reports": self.reports.stats(), "tables": self.tables.stats(),

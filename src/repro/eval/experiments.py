@@ -123,7 +123,7 @@ def simulate(accelerator: str, dataset: str, model: str,
 def clear_caches() -> None:
     """Reset every sweep-related cache layer (engine memory + legacy).
 
-    Disk entries survive (they are content-keyed and code-versioned);
+    Stored artifacts survive (they are content-keyed and code-versioned);
     this drops the in-process state so tests and benchmarks cannot leak
     sweep results into each other.
     """

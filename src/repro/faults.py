@@ -8,8 +8,8 @@ from them with bit-identical results.
 
 A :class:`FaultPlan` maps fault kinds to firing rates (plus optional
 per-process caps), and every firing decision is a pure function of
-``(seed, kind, token)`` — the token is the job's repr or the cache
-entry's key — so the same plan over the same batch kills the same
+``(seed, kind, token)`` — the token is the job's repr or the
+artifact's id — so the same plan over the same batch kills the same
 workers every run, in every process, with no shared state.  Faults fire
 only on a job's *first* attempt, so bounded retries always converge.
 
@@ -23,14 +23,14 @@ Fault kinds:
   when no timeout is configured (a hang nobody can interrupt would
   deadlock the suite, not test it);
 - ``raise`` — raise :class:`InjectedFault` mid-execution;
-- ``corrupt_cache`` — truncate a disk-cache entry right after its
-  atomic write, so a later read sees a torn file;
-- ``cache_readonly`` — make the next disk-cache *or artifact-store*
-  write raise ``PermissionError``, as if the store went read-only
-  mid-sweep;
 - ``corrupt_artifact`` — flip a byte in an artifact payload right after
   its atomic publish, so a later read must detect the damage against
   the manifest checksum and quarantine the entry;
+- ``corrupt_cache`` — the same damage as ``corrupt_artifact`` (job
+  results and sweep memos share one store); kept so existing plans
+  such as ``kill=0.2,corrupt_cache=1:1`` keep working;
+- ``cache_readonly`` — make the next artifact-store write raise
+  ``PermissionError``, as if the store went read-only mid-sweep;
 - ``torn_rename`` — abandon an artifact write after its temp entry is
   durable but *before* the publishing rename, simulating a crash at the
   narrowest point of the protocol (the caller keeps its in-memory
@@ -276,22 +276,6 @@ class FaultInjector:
                 return action
         return None
 
-    def on_cache_write_start(self, token: str) -> None:
-        """Called by DiskCache.put before writing an entry."""
-        if self.should_fire("cache_readonly", token):
-            raise PermissionError(
-                errno.EACCES, f"injected read-only cache for {token}")
-
-    def on_cache_written(self, path: os.PathLike, token: str) -> None:
-        """Called by DiskCache.put after the atomic replace landed."""
-        if self.should_fire("corrupt_cache", token):
-            try:
-                size = os.path.getsize(path)
-                with open(path, "r+b") as fh:
-                    fh.truncate(max(size // 2, 1))
-            except OSError:
-                pass
-
     def on_artifact_write_start(self, token: str) -> None:
         """Called by ArtifactStore before staging an entry."""
         if self.should_fire("cache_readonly", token):
@@ -308,9 +292,9 @@ class FaultInjector:
     def on_artifact_published(self, path: os.PathLike, token: str) -> None:
         """Called after an artifact entry's publishing rename landed.
 
-        ``corrupt_cache`` also fires here so a blanket corrupt-everything
-        chaos plan damages both stores; either way a payload byte is
-        flipped, which the manifest checksum must catch on read.
+        ``corrupt_cache`` fires here too (see the module docs); either
+        way a payload byte is flipped, which the manifest checksum must
+        catch on read.
         """
         if not (self.should_fire("corrupt_artifact", token)
                 or self.should_fire("corrupt_cache", token)):

@@ -4,9 +4,10 @@ benchmark runner.
 - :mod:`repro.perf.cache` memoizes expensive graph-derived artifacts
   (partitions, normalized adjacencies, loaded datasets) keyed by the
   *content* of the inputs, so repeated experiment sweeps stop
-  recomputing them per call site; its :class:`DiskCache` is the
-  versioned persistent store the sweep engine
-  (:mod:`repro.eval.engine`) replays finished simulations from;
+  recomputing them per call site; its :class:`DiskCache` is the sweep
+  engine's (:mod:`repro.eval.engine`) view of its memos, which persist
+  as kind ``memo`` artifacts beside the finished jobs in
+  :mod:`repro.artifacts`;
 - :mod:`repro.perf.timers` provides the lightweight wall-clock timers
   and counters the benchmark runner is built on;
 - :mod:`repro.perf.reference` preserves the original (seed) pure-Python

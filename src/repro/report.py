@@ -25,7 +25,7 @@ from .registry import ExperimentSpec, get_experiment
 __all__ = [
     "ARTIFACT_SCHEMA",
     "Artifact",
-    "ArtifactError",
+    "ArtifactSchemaError",
     "run_experiment",
     "run_suite_experiment",
     "tabulate_value",
@@ -38,7 +38,7 @@ ARTIFACT_SCHEMA = "repro.report/v1"
 _SCALARS = (int, float, str, bool)
 
 
-class ArtifactError(ValueError):
+class ArtifactSchemaError(ValueError):
     """A serialized artifact does not match the schema."""
 
 
@@ -199,10 +199,11 @@ class Artifact:
 
 
 def validate_artifact_dict(data: Mapping) -> None:
-    """Schema-check a deserialized artifact dict (raises ArtifactError)."""
+    """Schema-check a deserialized artifact dict (raises
+    :class:`ArtifactSchemaError`)."""
     problems: List[str] = []
     if not isinstance(data, Mapping):
-        raise ArtifactError(f"artifact must be a mapping, got {type(data).__name__}")
+        raise ArtifactSchemaError(f"artifact must be a mapping, got {type(data).__name__}")
     if data.get("schema") != ARTIFACT_SCHEMA:
         problems.append(f"schema must be {ARTIFACT_SCHEMA!r}, "
                         f"got {data.get('schema')!r}")
@@ -233,7 +234,7 @@ def validate_artifact_dict(data: Mapping) -> None:
     if not isinstance(data.get("metadata"), Mapping):
         problems.append("metadata must be a mapping")
     if problems:
-        raise ArtifactError("; ".join(problems))
+        raise ArtifactSchemaError("; ".join(problems))
 
 
 def _jsonable_params(params: Mapping) -> Dict[str, object]:

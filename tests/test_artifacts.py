@@ -4,7 +4,7 @@ Covers the full robustness contract: id derivation, the crash-safe
 write protocol (including SIGKILLed writers at injected points and
 lock-free same-id races), verification and quarantine-then-rebuild,
 GC liveness from journals and pins, verified export/import with
-tamper rejection, fault-injection hooks, and the DiskCache spill
+tamper rejection, fault-injection hooks, and the sweep engine
 integration.
 """
 
@@ -524,8 +524,10 @@ class TestFaultHooks:
         assert rebuilt is not None
         assert store.verify()["ok"] == 1
 
-    def test_corrupt_artifact_damages_the_published_payload(self, store):
-        with inject_faults(corrupt_artifact=1.0):
+    @pytest.mark.parametrize("kind", ["corrupt_artifact", "corrupt_cache"])
+    def test_corrupt_artifact_damages_the_published_payload(self, store,
+                                                            kind):
+        with inject_faults(**{kind: 1.0}):
             art_id = store.put("demo", {"n": 0}, {"value": 0},
                                producer=PRODUCER)
         assert art_id is not None  # publish succeeded, then bit-rot
@@ -541,68 +543,6 @@ class TestFaultHooks:
         # Latched: later writes fail silently even without the fault.
         assert store.put("demo", {"n": 1}, 2, producer=PRODUCER) is None
         assert store.stats()["objects"] == 0
-
-
-class TestDiskCacheSpill:
-    def test_large_entries_spill_into_the_artifact_store(
-            self, tmp_path, monkeypatch):
-        from repro.perf.cache import DiskCache
-
-        monkeypatch.setenv("REPRO_ARTIFACTS_SPILL_BYTES", "64")
-        store = ArtifactStore(directory=tmp_path / "cache")
-        cache = DiskCache("spill-test", directory=tmp_path / "cache",
-                          namespace="ns", spill_store=store)
-        big = {"data": list(range(256))}
-        cache.put("big-key", big)
-        assert cache.spills == 1
-        kinds = [e["kind"] for e in store.list_entries()]
-        assert kinds == ["cache-spill"]
-        assert cache.get("big-key") == big
-
-        small = "tiny"
-        cache.put("small-key", small)
-        assert cache.spills == 1  # under the threshold: stays a memo file
-        assert cache.get("small-key") == small
-
-    def test_spilled_entry_missing_from_store_reads_as_miss(
-            self, tmp_path, monkeypatch):
-        from repro.perf.cache import DiskCache
-
-        monkeypatch.setenv("REPRO_ARTIFACTS_SPILL_BYTES", "64")
-        store = ArtifactStore(directory=tmp_path / "cache")
-        cache = DiskCache("spill-test", directory=tmp_path / "cache",
-                          namespace="ns", spill_store=store)
-        cache.put("big-key", {"data": list(range(256))})
-        store.clear()  # the spilled artifact vanishes (e.g. gc'd)
-        with pytest.warns(RuntimeWarning, match="dangling|backing artifact"):
-            assert cache.get("big-key", "fallback") == "fallback"
-        assert cache.dangling_stubs == 1
-        assert cache.stats()["dangling_stubs"] == 1
-        # The stub was dropped, so the next read is a plain miss — no
-        # second resolve attempt, no raise, and no repeat warning.
-        assert cache.get("big-key", "fallback") == "fallback"
-        assert cache.dangling_stubs == 1
-
-    def test_dangling_stub_warns_once_per_store(self, tmp_path, monkeypatch):
-        import warnings as warnings_mod
-
-        from repro.perf.cache import DiskCache
-
-        monkeypatch.setenv("REPRO_ARTIFACTS_SPILL_BYTES", "64")
-        store = ArtifactStore(directory=tmp_path / "cache")
-        cache = DiskCache("spill-test", directory=tmp_path / "cache",
-                          namespace="ns", spill_store=store)
-        cache.put("key-a", {"data": list(range(256))})
-        cache.put("key-b", {"data": list(range(256, 512))})
-        store.clear()
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            assert cache.get("key-a") is None
-            assert cache.get("key-b") is None
-        dangling = [w for w in caught
-                    if "backing artifact" in str(w.message)]
-        assert len(dangling) == 1  # warned once, counted twice
-        assert cache.dangling_stubs == 2
 
 
 class TestEngineIntegration:

@@ -1,11 +1,12 @@
-"""Tests for the sweep engine: parallel/serial identity, disk cache
-round trips, and content-keyed invalidation."""
+"""Tests for the sweep engine: parallel/serial identity, memo and
+artifact round trips, and content-keyed invalidation."""
 
 import warnings
 
 import pytest
 
 from repro import envutil
+from repro.artifacts import ArtifactStore
 from repro.eval.engine import SimJob, SweepEngine, get_engine
 from repro.eval.experiments import clear_caches, simulate
 from repro.perf.cache import DiskCache, cached_load_dataset, content_key
@@ -159,9 +160,22 @@ class TestCacheInvalidation:
         assert sweep_engine.executed_jobs == 0
 
 
+def _memo_view(directory) -> DiskCache:
+    return DiskCache(ArtifactStore(directory=directory))
+
+
+def _flip_payload_byte(cache: DiskCache, key: str) -> None:
+    payload = cache.store.payload_path(cache.artifact_id(key))
+    data = bytearray(payload.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    payload.write_bytes(bytes(data))
+
+
 class TestDiskCache:
+    """The engine's memo view: kind "memo" artifacts in the store."""
+
     def test_round_trip_and_stats(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
+        cache = _memo_view(tmp_path)
         key = content_key("a", 1, (2, 3))
         assert cache.get(key) is None
         cache.put(key, {"x": 1.5})
@@ -169,75 +183,62 @@ class TestDiskCache:
         stats = cache.stats()
         assert stats["entries"] == 1 and stats["hits"] == 1
         assert stats["misses"] == 1 and stats["stores"] == 1
+        # The memo is an ordinary artifact: listed by kind, verifiable.
+        assert [e["kind"] for e in cache.store.list_entries()] == ["memo"]
+        assert cache.store.verify()["ok"] == 1
 
     def test_corrupt_entry_recomputed(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
+        cache = _memo_view(tmp_path)
         key = content_key("broken")
         cache.put(key, [1, 2, 3])
-        cache._path(key).write_bytes(b"not a pickle")
+        _flip_payload_byte(cache, key)
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert cache.get_or_compute(key,
                                         lambda: "recomputed") == "recomputed"
+        assert cache.stats()["corrupt_drops"] == 1
+        assert len(cache.store.quarantine_entries()) == 1
         assert cache.get(key) == "recomputed"
 
-    def test_stale_namespace_pruned_on_store(self, tmp_path):
-        old = DiskCache("unit", directory=tmp_path, namespace="oldver")
-        old.put(content_key("k"), "stale")
-        new = DiskCache("unit", directory=tmp_path, namespace="newver")
-        assert new.get(content_key("k")) is None  # namespaces are disjoint
-        new.put(content_key("k"), "fresh")
-        assert not old.directory.exists()  # previous version pruned
-        assert new.get(content_key("k")) == "fresh"
+    def test_code_change_never_serves_a_stale_memo(self, tmp_path,
+                                                   monkeypatch):
+        from repro.perf import cache as cache_mod
+
+        cache = _memo_view(tmp_path)
+        key = content_key("k")
+        cache.put(key, "stale")
+        monkeypatch.setattr(cache_mod, "code_version", lambda: "newer")
+        assert cache.get(key) is None  # a new producer names a new id
+        cache.put(key, "fresh")
+        assert cache.get(key) == "fresh"
+        producers = sorted(e["producer"] for e in cache.store.list_entries())
+        assert len(producers) == 2 and "newer" in producers
 
     def test_unpicklable_value_skipped_without_disabling(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
+        cache = _memo_view(tmp_path)
         cache.put(content_key("bad"), lambda: None)  # not picklable
         assert cache.get(content_key("bad")) is None
         cache.put(content_key("good"), 7)  # store must still be active
         assert cache.get(content_key("good")) == 7
-        assert not list(cache.directory.glob("*.tmp.*"))  # no leaked tmp files
+        assert cache.stats()["write_failures"] == 1
+        assert cache.store.stats()["tmp_entries"] == 0  # no leaked temp dirs
 
     def test_unwritable_store_degrades_gracefully(self, tmp_path):
         target = tmp_path / "file-not-dir"
         target.write_text("occupied")
-        cache = DiskCache("unit", directory=target / "nested")
+        cache = _memo_view(target / "nested")
         cache.put(content_key("k"), 1)  # cannot mkdir below a file
         assert cache.get(content_key("k")) is None
         assert cache.get_or_compute(content_key("k"), lambda: 41 + 1) == 42
         # Both puts (direct + get_or_compute's) failed and were counted.
         assert cache.stats()["write_failures"] == 2
 
-    def test_checksum_footer_detects_truncated_write(self, tmp_path):
-        """Pickle ignores trailing bytes after the STOP opcode, so a torn
-        write truncated inside the footer region still unpickles — the
-        checksum footer is what catches it."""
-        import pickle
-
-        cache = DiskCache("unit", directory=tmp_path)
-        key = content_key("torn")
-        cache.put(key, {"rows": list(range(50))})
-        path = cache._path(key)
-        data = path.read_bytes()
-        truncated = data[:-7]  # lose the footer's tail, keep the payload
-        path.write_bytes(truncated)
-        # The raw payload inside the truncated file is still loadable
-        # pickle — without the checksum this would be served as a hit.
-        from repro.perf.cache import _CHECKSUM_MAGIC
-
-        assert pickle.loads(truncated[len(_CHECKSUM_MAGIC):]) \
-            == {"rows": list(range(50))}
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert cache.get(key) is None
-        assert cache.stats()["corrupt_drops"] == 1
-        assert not path.exists()  # dropped, so the next run recomputes
-
     def test_corrupt_entries_warn_once_but_count_each(self, tmp_path):
         import warnings as warnings_mod
 
-        cache = DiskCache("unit", directory=tmp_path)
+        cache = _memo_view(tmp_path)
         for i in range(3):
             cache.put(content_key("e", i), i)
-            cache._path(content_key("e", i)).write_bytes(b"garbage")
+            _flip_payload_byte(cache, content_key("e", i))
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert cache.get(content_key("e", 0)) is None
         with warnings_mod.catch_warnings():
@@ -246,30 +247,10 @@ class TestDiskCache:
             assert cache.get(content_key("e", 2)) is None
         assert cache.stats()["corrupt_drops"] == 3
 
-    def test_checksum_off_round_trips_plain_pickle(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path, checksum=False)
-        key = content_key("plain")
-        cache.put(key, (1, 2))
-        assert cache.get(key) == (1, 2)
-        import pickle
-
-        assert pickle.loads(cache._path(key).read_bytes()) == (1, 2)
-
     def test_stats_carry_robustness_counters(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
-        assert set(cache.stats()) == {"entries", "size_bytes", "hits",
-                                      "misses", "stores", "corrupt_drops",
-                                      "write_failures", "io_errors",
-                                      "dangling_stubs"}
-
-    def test_stats_size_bytes_tracks_entries(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
-        assert cache.stats()["size_bytes"] == 0
-        cache.put(content_key("a"), list(range(100)))
-        size_one = cache.stats()["size_bytes"]
-        assert size_one > 0
-        cache.put(content_key("b"), list(range(100)))
-        assert cache.stats()["size_bytes"] > size_one
+        cache = _memo_view(tmp_path)
+        assert set(cache.stats()) == {"entries", "hits", "misses", "stores",
+                                      "corrupt_drops", "write_failures"}
 
 
 class TestCacheRaces:
@@ -286,7 +267,7 @@ class TestCacheRaces:
         key = content_key("contested")
 
         def writer(value):
-            cache = DiskCache("unit", directory=tmp_path)
+            cache = _memo_view(tmp_path)
             for _ in range(25):
                 cache.put(key, value)
 
@@ -295,21 +276,21 @@ class TestCacheRaces:
         for proc in procs:
             proc.start()
         for proc in procs:
-            proc.join()
+            proc.join(timeout=120)
         assert all(proc.exitcode == 0 for proc in procs)
-        reader = DiskCache("unit", directory=tmp_path)
+        reader = _memo_view(tmp_path)
         value = reader.get(key)
         assert value in (["a"] * 100, ["b"] * 100)
         assert reader.stats()["corrupt_drops"] == 0
-        assert not list(reader.directory.glob("*.tmp.*"))
+        assert reader.store.stats()["tmp_entries"] == 0
 
     def test_reader_hitting_half_replaced_entry(self, tmp_path):
-        """A reader that catches a partially-written entry (torn short
-        of the checksum) treats it as corrupt, not as a result."""
-        cache = DiskCache("unit", directory=tmp_path)
+        """A reader that catches a truncated payload treats it as
+        corrupt (quarantined, rebuilt), not as a result."""
+        cache = _memo_view(tmp_path)
         key = content_key("half")
         cache.put(key, list(range(100)))
-        path = cache._path(key)
+        path = cache.store.payload_path(cache.artifact_id(key))
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert cache.get_or_compute(key, lambda: "fresh") == "fresh"
@@ -323,7 +304,7 @@ class TestCacheRaces:
 
         from repro.faults import inject_faults
 
-        cache = DiskCache("unit", directory=tmp_path)
+        cache = _memo_view(tmp_path)
         cache.put(content_key("before"), 1)  # store starts healthy
         with inject_faults(cache_readonly=1.0):
             with pytest.warns(RuntimeWarning, match="memory-only"):
@@ -333,9 +314,9 @@ class TestCacheRaces:
                 cache.put(content_key("during", 1), 3)  # silent no-op
         assert cache.get(content_key("before")) == 1  # reads still serve
         assert cache.get(content_key("during", 0)) is None
-        assert cache._write_disabled
-        # Only the latching put counts; later puts are skipped outright.
-        assert cache.stats()["write_failures"] == 1
+        assert cache.store._write_disabled
+        # Every memo that could not be persisted is counted.
+        assert cache.stats()["write_failures"] == 2
 
 
 class TestChunkSplitting:

@@ -70,14 +70,7 @@ class TestFaultInjector:
     def test_cache_readonly_raises_permission_error(self):
         injector = FaultInjector(parse_fault_spec("cache_readonly=1"))
         with pytest.raises(PermissionError):
-            injector.on_cache_write_start("some-key")
-
-    def test_corrupt_cache_truncates_the_entry(self, tmp_path):
-        path = tmp_path / "entry.pkl"
-        path.write_bytes(b"x" * 100)
-        injector = FaultInjector(parse_fault_spec("corrupt_cache=1"))
-        injector.on_cache_written(path, "some-key")
-        assert path.stat().st_size == 50
+            injector.on_artifact_write_start("some-key")
 
 
 class TestActivation:

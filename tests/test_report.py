@@ -9,7 +9,7 @@ import pytest
 from repro.eval import experiments as exp
 from repro.eval.engine import SimJob
 from repro.eval.reporting import geomean
-from repro.report import (ARTIFACT_SCHEMA, Artifact, ArtifactError,
+from repro.report import (ARTIFACT_SCHEMA, Artifact, ArtifactSchemaError,
                           run_experiment, run_suite_experiment,
                           tabulate_value, validate_artifact_dict)
 
@@ -211,7 +211,7 @@ class TestArtifact:
             bad = {k: (v.copy() if hasattr(v, "copy") else v)
                    for k, v in good.items()}
             mutate(bad)
-            with pytest.raises(ArtifactError):
+            with pytest.raises(ArtifactSchemaError):
                 validate_artifact_dict(bad)
 
     def test_tabulate_nested_shapes(self):
